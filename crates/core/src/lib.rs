@@ -74,6 +74,7 @@ mod deploy;
 pub mod designer;
 pub mod envelope;
 mod error;
+pub mod journal;
 mod lambda;
 pub mod multipin;
 pub mod parallel;

@@ -18,14 +18,15 @@
 //! - completed probe results can be serialized to a versioned,
 //!   dependency-free text checkpoint file and resumed bit-identically.
 //!
-//! See `DESIGN.md` §12 for the model and the checkpoint format.
+//! See `DESIGN.md` §12 for the model. Checkpoint files are a record schema
+//! on the [`crate::journal`] file protocol (§19).
 
+use crate::journal::{Header, Journal};
 use crate::parallel::{par_map_init_isolated, ItemOutcome};
 use crate::{optimize_current, CoolingSystem, CurrentSettings, OptError};
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tecopt_linalg::CancelToken;
 use tecopt_thermal::TileIndex;
@@ -431,150 +432,28 @@ fn parse_hex_opt(s: &str) -> Option<Option<f64>> {
     }
 }
 
-fn checkpoint_io(e: std::io::Error) -> OptError {
-    OptError::InvalidParameter(format!("checkpoint io: {e}"))
-}
-
-/// The sibling temp path the atomic-replace protocol writes through:
-/// `<final>.tmp` in the same directory (same filesystem, so the rename is
-/// atomic). `faultinject::DiskFull` relies on this convention to obstruct
-/// the temp path in write-failure tests.
-pub fn temp_sibling(path: &Path) -> PathBuf {
-    let mut name = path
-        .file_name()
-        .map(std::ffi::OsStr::to_os_string)
-        .unwrap_or_default();
-    name.push(".tmp");
-    path.with_file_name(name)
-}
-
-/// Atomically replaces `path` with `contents`: the bytes are written and
-/// synced to [`temp_sibling`] first, renamed over the final path, then the
-/// parent directory is synced so the rename itself survives power loss. A
-/// crash at any instant leaves the final path either absent, with its old
-/// content, or with the complete new content — never a torn prefix.
-/// Checkpoint and ledger *headers* go through this; item records are plain
-/// appends that are flushed but not synced — durable against process
-/// kills, while an OS crash or power loss may drop an unsynced record
-/// tail, which costs re-running those items, never correctness (the
-/// loaders treat a missing record as pending work).
-///
-/// # Errors
-///
-/// Any I/O error from create/write/sync/rename: before the rename the
-/// final path is untouched; a directory-sync failure after it leaves the
-/// final path with the complete new content (never a torn file).
-pub fn atomic_replace(path: &Path, contents: &str) -> std::io::Result<()> {
-    let tmp = temp_sibling(path);
-    {
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(contents.as_bytes())?;
-        file.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    // The rename lives in the directory entry, not the file: without this
-    // sync a power cut can roll the replacement back even though the file
-    // data itself was synced.
-    let dir = match path.parent() {
-        Some(d) if !d.as_os_str().is_empty() => d,
-        _ => Path::new("."),
-    };
-    std::fs::File::open(dir)?.sync_all()?;
-    Ok(())
-}
-
-/// Reads the completed items recorded in `path`, validating the header
-/// against this sweep's kind, fingerprint and item count. A missing file
-/// is an empty (fresh) checkpoint; a header mismatch is a typed error —
-/// resuming under different parameters would silently mix sweeps.
-fn load_checkpoint<R: Checkpointable>(
-    path: &Path,
-    fp: u64,
-    total: usize,
-) -> Result<Vec<Option<R>>, OptError> {
+/// Decodes the replayed `item <index> <fields>` records of a sweep
+/// checkpoint into per-index slots. Records are order-insensitive; a line
+/// that does not decode (a torn final write after a crash) is skipped, so
+/// its item simply re-runs.
+fn replay_items<R: Checkpointable>(records: &[String], total: usize) -> Vec<Option<R>> {
     let mut prefilled: Vec<Option<R>> = Vec::with_capacity(total);
     prefilled.resize_with(total, || None);
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(prefilled),
-        Err(e) => return Err(checkpoint_io(e)),
-    };
-    let mut lines = text.lines();
-    let header_ok = lines.next() == Some(CHECKPOINT_HEADER)
-        && lines.next() == Some(&format!("kind {}", R::KIND))
-        && lines.next() == Some(&format!("fingerprint {fp:016x}"))
-        && lines.next() == Some(&format!("total {total}"));
-    if !header_ok {
-        return Err(OptError::InvalidParameter(format!(
-            "stale checkpoint {}: header does not match this sweep (kind {}, fingerprint \
-             {fp:016x}, total {total}); delete it to start fresh",
-            path.display(),
-            R::KIND,
-        )));
-    }
-    for line in lines {
-        // Item lines are order-insensitive; a malformed line (torn final
-        // write after a crash) is skipped, so its item simply re-runs.
-        let Some(rest) = line.strip_prefix("item ") else {
+    for line in records {
+        let Some((idx, fields)) = line
+            .strip_prefix("item ")
+            .and_then(|rest| rest.split_once(' '))
+        else {
             continue;
         };
-        let Some((idx_str, fields)) = rest.split_once(' ') else {
+        let Ok(idx) = idx.parse::<usize>() else {
             continue;
         };
-        let Ok(idx) = idx_str.parse::<usize>() else {
-            continue;
-        };
-        if idx >= total {
-            continue;
-        }
-        if let Some(record) = R::decode(fields) {
-            prefilled[idx] = Some(record);
+        if let (Some(slot), Some(record)) = (prefilled.get_mut(idx), R::decode(fields)) {
+            *slot = Some(record);
         }
     }
-    Ok(prefilled)
-}
-
-/// Opens `path` for appending item records, writing the header first if
-/// the file is fresh.
-fn open_checkpoint<R: Checkpointable>(
-    path: &Path,
-    fp: u64,
-    total: usize,
-    fresh: bool,
-) -> Result<std::fs::File, OptError> {
-    if fresh {
-        // The header must appear atomically: a direct create-then-write
-        // killed mid-header would leave a torn header that reads as a
-        // *stale* checkpoint on resume (a typed error demanding manual
-        // deletion) instead of a fresh file.
-        let header = format!(
-            "{CHECKPOINT_HEADER}\nkind {}\nfingerprint {fp:016x}\ntotal {total}\n",
-            R::KIND
-        );
-        atomic_replace(path, &header).map_err(checkpoint_io)?;
-    }
-    std::fs::OpenOptions::new()
-        .append(true)
-        .open(path)
-        .map_err(checkpoint_io)
-}
-
-/// Appends one completed item record and flushes, so a kill immediately
-/// after a probe boundary loses at most the probe in flight.
-fn append_item<R: Checkpointable>(
-    file: &Mutex<std::fs::File>,
-    index: usize,
-    record: &R,
-) -> Result<(), OptError> {
-    let mut file = file
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    // The mutex exists to serialize exactly this append+flush; writing
-    // outside it would interleave records from concurrent workers and
-    // corrupt the checkpoint file.
-    // tecopt:allow(lock-across-blocking)
-    writeln!(file, "item {index} {}", record.encode()).map_err(checkpoint_io)?;
-    file.flush().map_err(checkpoint_io)
+    prefilled
 }
 
 /// [`supervised_map`] with checkpoint/resume: when the context carries a
@@ -608,14 +487,16 @@ where
     let Some(path) = ctx.checkpoint_path() else {
         return supervised_map(ctx, items, init, f);
     };
-    let path = path.to_path_buf();
     let total = items.len();
-    let fresh = !path.exists();
-    let prefilled = load_checkpoint::<R>(&path, params_fingerprint, total)
-        .map_err(|e| SweepFailure::before_start(e, total))?;
-    let file = open_checkpoint::<R>(&path, params_fingerprint, total, fresh)
-        .map_err(|e| SweepFailure::before_start(e, total))?;
-    let file = Mutex::new(file);
+    let header = Header {
+        magic: CHECKPOINT_HEADER,
+        kind: R::KIND,
+        fingerprint: params_fingerprint,
+        total,
+    };
+    let (journal, records) =
+        Journal::open(path, &header).map_err(|e| SweepFailure::before_start(e, total))?;
+    let prefilled = replay_items::<R>(&records, total);
 
     let missing: Vec<(usize, T)> = items
         .into_iter()
@@ -628,7 +509,7 @@ where
         init,
         |state, (index, item)| {
             let record = f(state, item)?;
-            append_item(&file, index, &record)?;
+            journal.append(&format!("item {index} {}", record.encode()))?;
             Ok(record)
         },
         || ctx.admit(),
@@ -1174,22 +1055,86 @@ mod tests {
 
     #[test]
     fn torn_final_line_is_tolerated() {
-        let dir = std::env::temp_dir().join("tecopt-supervise-unit");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("torn-unit.ckpt");
-        let fp = fingerprint("torn");
-        let header = format!(
-            "{CHECKPOINT_HEADER}\nkind {}\nfingerprint {fp:016x}\ntotal 3\nitem 0 1 {} {} {} 9\nitem 1 2 3fb",
-            CandidateScore::KIND,
-            hex_f64(1.0),
-            hex_f64(2.0),
-            hex_f64(3.0),
-        );
-        std::fs::write(&path, header).unwrap();
-        let loaded = load_checkpoint::<CandidateScore>(&path, fp, 3).unwrap();
+        let records = [
+            format!(
+                "item 0 1 {} {} {} 9",
+                hex_f64(1.0),
+                hex_f64(2.0),
+                hex_f64(3.0)
+            ),
+            "item 1 2 3fb".to_string(),
+        ];
+        let loaded = replay_items::<CandidateScore>(&records, 3);
         assert!(loaded[0].is_some(), "intact record survives");
         assert!(loaded[1].is_none(), "torn record re-runs");
         assert!(loaded[2].is_none());
+    }
+
+    fn unit_score(i: usize) -> CandidateScore {
+        CandidateScore {
+            device_count: 3,
+            current: Amperes(2.5),
+            peak: Celsius(81.25 + i as f64),
+            tec_power: Watts(0.5),
+            evaluations: 17,
+        }
+    }
+
+    #[test]
+    fn checkpoint_bytes_match_the_v1_format() {
+        let dir = std::env::temp_dir().join("tecopt-supervise-unit");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("golden-unit.ckpt");
+        let _ = std::fs::remove_file(&path);
+        let ctx = RunContext::unbounded().checkpoint(&path);
+        checkpointed_map(
+            &ctx,
+            0x0123_4567_89ab_cdef,
+            vec![0usize],
+            || (),
+            |(), i| Ok(unit_score(i)),
+        )
+        .unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            "tecopt-checkpoint v1\nkind designer-candidates\nfingerprint 0123456789abcdef\n\
+             total 1\nitem 0 3 4004000000000000 4054500000000000 3fe0000000000000 17\n"
+        );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn the_first_record_after_a_torn_tail_is_not_lost() {
+        let dir = std::env::temp_dir().join("tecopt-supervise-unit");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("reglue-unit.ckpt");
+        let _ = std::fs::remove_file(&path);
+        let runs = AtomicUsize::new(0);
+        let run = |ctx: RunContext| {
+            checkpointed_map(
+                &ctx.checkpoint(&path),
+                7,
+                (0..3usize).collect(),
+                || (),
+                |(), i| {
+                    runs.fetch_add(1, Ordering::Relaxed);
+                    Ok(unit_score(i))
+                },
+            )
+        };
+        // Items 0 and 1 complete, then a kill tears item 1's record.
+        run(RunContext::unbounded().probe_budget(2)).unwrap_err();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, &text[..text.len() - 5]).unwrap();
+        // The resume re-runs item 1 only; its record must survive.
+        run(RunContext::unbounded().probe_budget(1)).unwrap_err();
+        let out = run(RunContext::unbounded()).unwrap();
+        assert_eq!(out, (0..3).map(unit_score).collect::<Vec<_>>());
+        assert_eq!(
+            runs.load(Ordering::Relaxed),
+            4,
+            "item 1 ran twice, item 2 once"
+        );
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -2,8 +2,8 @@ use crate::OptError;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use tecopt_device::{SolveWorkspace, StampedSystem, TecParams};
 use tecopt_linalg::{
-    solve_robust, CancelToken, Cholesky, CsrMatrix, DiagonalUpdate, FactoredSystem, LinalgError,
-    ResolvedBackend, SolveMethod, SolverBackend, SolverPolicy, UpdatableFactor,
+    CancelToken, Cholesky, CsrMatrix, DiagonalUpdate, FactoredSystem, LinalgError, ResolvedBackend,
+    SolveMethod, SolverBackend, UpdatableFactor,
 };
 use tecopt_thermal::{PackageConfig, TileIndex};
 use tecopt_units::{Amperes, Celsius, Kelvin, Watts};
@@ -94,6 +94,10 @@ pub enum FactorStrategy {
 /// pivot ratio — a cheap upper-bound heuristic for how much the SMW
 /// correction can amplify rounding. See DESIGN.md §15 for the policy.
 const UPDATE_CONDITION_LIMIT: f64 = 1.0e12;
+
+/// Condition estimate above which a solved state is flagged
+/// [`SolvedState::degraded`].
+const DEGRADED_CONDITION: f64 = 1.0e12;
 
 /// Cache key of the last factorization held by a [`SolverCore`].
 ///
@@ -500,7 +504,6 @@ pub struct SolvedState {
     tec_power: Watts,
     condition_estimate: f64,
     solve_method: SolveMethod,
-    fallbacks_taken: usize,
     degraded: bool,
 }
 
@@ -541,23 +544,17 @@ impl SolvedState {
         self.condition_estimate
     }
 
-    /// Which solver stage produced the temperatures (Cholesky unless a
-    /// fallback engaged via [`CoolingSystem::solve_with_policy`]).
+    /// Which solver backend produced the temperatures.
     pub fn solve_method(&self) -> SolveMethod {
         self.solve_method
     }
 
-    /// Fallback stages engaged to obtain this state (0 = fast path).
-    pub fn fallbacks_taken(&self) -> usize {
-        self.fallbacks_taken
-    }
-
     /// `true` when the temperatures warrant caution: the system matrix was
-    /// ill-conditioned or a fallback solver produced them.
+    /// ill-conditioned.
     ///
     /// The flag's sensitivity is backend-dependent: the dense backend
     /// compares a Cholesky pivot-ratio estimate against
-    /// [`SolverPolicy::warn_condition`], while the sparse backend compares
+    /// 1e12 (`DEGRADED_CONDITION`), while the sparse backend compares
     /// a CG iteration-count heuristic on a different scale — the same
     /// system can be flagged under one backend but not the other. Treat it
     /// as a per-backend caution signal, not a cross-backend invariant; for
@@ -786,92 +783,7 @@ impl CoolingSystem {
 
     /// Derives the user-facing state from a raw backend solve.
     fn finish_raw(&self, current: Amperes, raw: RawSolve) -> Result<SolvedState, OptError> {
-        let degraded = raw.condition_estimate > SolverPolicy::default().warn_condition;
-        self.finish_state(
-            current,
-            raw.theta,
-            raw.condition_estimate,
-            raw.method,
-            0,
-            degraded,
-        )
-    }
-
-    /// Solves the steady state through the hardened fallback chain
-    /// (Cholesky → pivoted LU → Tikhonov-regularized retry) governed by
-    /// `policy`.
-    ///
-    /// Near the runaway limit `λ_m` the system matrix is nearly singular and
-    /// plain Cholesky can break down on an operating point that is still
-    /// physically feasible; this entry point recovers those solves and
-    /// reports how much the result should be trusted via
-    /// [`SolvedState::degraded`], [`SolvedState::solve_method`] and
-    /// [`SolvedState::condition_estimate`]. With
-    /// [`SolverPolicy::strict`] it behaves exactly like
-    /// [`CoolingSystem::solve`].
-    ///
-    /// # Errors
-    ///
-    /// - [`OptError::BeyondRunaway`] when the whole chain fails with a
-    ///   not-positive-definite root cause — the matrix is genuinely past
-    ///   (or at) runaway, not merely borderline.
-    /// - [`OptError::Linalg`] for ill-conditioning beyond
-    ///   [`SolverPolicy::fail_condition`], invalid policies, or non-finite
-    ///   data.
-    pub fn solve_with_policy(
-        &self,
-        current: Amperes,
-        policy: &SolverPolicy,
-    ) -> Result<SolvedState, OptError> {
-        let m = self.stamped.system_matrix(current)?;
-        let p = self.stamped.power_vector(&self.tile_powers, current)?;
-        let sol = solve_robust(&m, &p, policy).map_err(|e| match e {
-            tecopt_linalg::LinalgError::NotPositiveDefinite { .. } => OptError::BeyondRunaway {
-                current: current.value(),
-            },
-            other => OptError::Linalg(other),
-        })?;
-        let d = sol.diagnostics;
-        // A fallback solver can algebraically "solve" a genuinely indefinite
-        // system — i.e. an operating point past runaway, where no stable
-        // steady state exists. Cholesky distinguishes borderline rounding
-        // from true indefiniteness; LU and regularization cannot, so their
-        // results are additionally screened for physical plausibility
-        // (absolute temperatures within [0 K, 10⁴ K]).
-        if d.fallbacks_taken > 0 {
-            const MAX_PLAUSIBLE_KELVIN: f64 = 1.0e4;
-            if sol
-                .x
-                .iter()
-                .any(|&t| !(0.0..=MAX_PLAUSIBLE_KELVIN).contains(&t))
-            {
-                return Err(OptError::BeyondRunaway {
-                    current: current.value(),
-                });
-            }
-        }
-        self.finish_state(
-            current,
-            sol.x,
-            d.condition_estimate,
-            d.method,
-            d.fallbacks_taken,
-            d.degraded,
-        )
-    }
-
-    /// Derives the user-facing state (silicon temperatures, peak, TEC input
-    /// power) from a raw temperature vector plus solver diagnostics.
-    fn finish_state(
-        &self,
-        current: Amperes,
-        theta: Vec<f64>,
-        condition_estimate: f64,
-        solve_method: SolveMethod,
-        fallbacks_taken: usize,
-        degraded: bool,
-    ) -> Result<SolvedState, OptError> {
-        let temps: Vec<Kelvin> = theta.into_iter().map(Kelvin).collect();
+        let temps: Vec<Kelvin> = raw.theta.into_iter().map(Kelvin).collect();
         let silicon = self.stamped.model().silicon_temperatures(&temps);
         let peak = silicon
             .iter()
@@ -884,10 +796,9 @@ impl CoolingSystem {
             silicon,
             peak,
             tec_power,
-            condition_estimate,
-            solve_method,
-            fallbacks_taken,
-            degraded,
+            condition_estimate: raw.condition_estimate,
+            solve_method: raw.method,
+            degraded: raw.condition_estimate > DEGRADED_CONDITION,
         })
     }
 
@@ -1035,7 +946,6 @@ mod tests {
         let s = system(&[TileIndex::new(1, 1)]);
         let far = s.solve(Amperes(0.0)).unwrap();
         assert_eq!(far.solve_method(), SolveMethod::Cholesky);
-        assert_eq!(far.fallbacks_taken(), 0);
         assert!(far.condition_estimate().is_finite());
         assert!(far.condition_estimate() >= 1.0);
         assert!(!far.degraded());
@@ -1059,27 +969,6 @@ mod tests {
             near.condition_estimate(),
             far.condition_estimate()
         );
-    }
-
-    #[test]
-    fn solve_with_policy_matches_solve_on_healthy_points() {
-        let s = system(&[TileIndex::new(1, 1)]);
-        let a = s.solve(Amperes(3.0)).unwrap();
-        let b = s
-            .solve_with_policy(Amperes(3.0), &SolverPolicy::default())
-            .unwrap();
-        assert!((a.peak().value() - b.peak().value()).abs() < 1e-12);
-        assert_eq!(b.solve_method(), SolveMethod::Cholesky);
-        assert!(!b.degraded());
-    }
-
-    #[test]
-    fn solve_with_policy_still_reports_runaway_beyond_limit() {
-        let s = system(&[TileIndex::new(1, 1)]);
-        match s.solve_with_policy(Amperes(1.0e5), &SolverPolicy::default()) {
-            Err(OptError::BeyondRunaway { current }) => assert_eq!(current, 1.0e5),
-            other => panic!("expected BeyondRunaway, got {other:?}"),
-        }
     }
 
     #[test]

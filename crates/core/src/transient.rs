@@ -33,11 +33,9 @@
 //! ```
 
 use core::fmt;
-use std::fs;
-use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
 
+use crate::journal::{Header, Journal};
 use crate::parallel::panic_message;
 use crate::supervise::{fingerprint, hex_f64, parse_hex_f64, RunContext, CHECKPOINT_HEADER};
 use crate::{CoolingSystem, OptError};
@@ -799,7 +797,7 @@ impl TransientSimulator {
         params_fingerprint: u64,
         ctx: &RunContext,
     ) -> Result<TransientTrace, TransientFailure> {
-        let Some(path) = ctx.checkpoint_path().map(Path::to_path_buf) else {
+        let Some(path) = ctx.checkpoint_path() else {
             return self.run_schedule_supervised(schedule, controller, ctx);
         };
         let fail = |error: OptError| TransientFailure {
@@ -807,9 +805,14 @@ impl TransientSimulator {
             partial: TransientTrace::default(),
         };
         let (plan, total) = self.plan_schedule(schedule).map_err(fail)?;
-        let fp = self.playback_fingerprint(schedule, params_fingerprint);
-        let recovered =
-            load_transient_checkpoint(&path, fp, total, self.theta.len()).map_err(fail)?;
+        let header = Header {
+            magic: CHECKPOINT_HEADER,
+            kind: CHECKPOINT_KIND,
+            fingerprint: self.playback_fingerprint(schedule, params_fingerprint),
+            total,
+        };
+        let (journal, records) = Journal::open(path, &header).map_err(fail)?;
+        let recovered = recover_steps(&records, total, self.theta.len());
 
         let mut trace = TransientTrace::default();
         if let Some((samples, theta, time)) = recovered {
@@ -840,11 +843,6 @@ impl TransientSimulator {
             trace.samples = samples;
         }
 
-        let mut writer = CheckpointWriter::open(&path, fp, total, !trace.samples.is_empty())
-            .map_err(|error| TransientFailure {
-                error,
-                partial: trace.clone(),
-            })?;
         self.play(
             schedule,
             &plan,
@@ -852,7 +850,7 @@ impl TransientSimulator {
             controller,
             ctx,
             trace,
-            Some(&mut writer),
+            Some(&journal),
         )
     }
 
@@ -890,7 +888,7 @@ impl TransientSimulator {
         controller: &mut (dyn TecController + Send),
         ctx: &RunContext,
         mut trace: TransientTrace,
-        mut writer: Option<&mut CheckpointWriter>,
+        journal: Option<&Journal>,
     ) -> Result<TransientTrace, TransientFailure> {
         let mut done = trace.samples.len();
         let mut base = 0usize;
@@ -938,8 +936,8 @@ impl TransientSimulator {
                         });
                     }
                 };
-                if let Some(w) = writer.as_deref_mut() {
-                    if let Err(error) = w.append(done, &sample, &self.theta) {
+                if let Some(journal) = journal {
+                    if let Err(error) = journal.append(&encode_step(done, &sample, &self.theta)) {
                         return Err(TransientFailure {
                             error,
                             partial: trace,
@@ -966,161 +964,68 @@ fn exhaustion(ctx: &RunContext, done: usize, total: usize) -> OptError {
     }
 }
 
-/// Sequentially appends per-step records to a playback checkpoint.
-struct CheckpointWriter {
-    file: fs::File,
-}
-
-impl CheckpointWriter {
-    /// Opens `path` for appending. A fresh file gets the four-line header;
-    /// on reopen (`resuming`) a defensive newline first terminates any
-    /// record torn by a mid-write kill, so the next append starts clean.
-    fn open(
-        path: &Path,
-        fp: u64,
-        total: usize,
-        resuming: bool,
-    ) -> Result<CheckpointWriter, OptError> {
-        let io = |e: std::io::Error| {
-            OptError::InvalidParameter(format!("checkpoint io at {}: {e}", path.display()))
-        };
-        let fresh = !path.exists();
-        if fresh {
-            // The header appears atomically via temp-file+rename: a kill
-            // mid-header would otherwise read as a *stale* checkpoint on
-            // resume instead of a fresh file.
-            let header = format!(
-                "{CHECKPOINT_HEADER}\nkind {CHECKPOINT_KIND}\nfingerprint {fp:016x}\ntotal {total}\n"
-            );
-            crate::supervise::atomic_replace(path, &header).map_err(io)?;
-        }
-        let mut file = fs::OpenOptions::new().append(true).open(path).map_err(io)?;
-        if !fresh && resuming {
-            writeln!(file).map_err(io)?;
-            file.flush().map_err(io)?;
-        }
-        Ok(CheckpointWriter { file })
+/// Encodes one step record: the sample fields plus the full post-step
+/// state `θ`, all as bit-exact hex.
+fn encode_step(idx: usize, sample: &TransientSample, theta: &[f64]) -> String {
+    let mut line = format!(
+        "item {idx} {} {} {} {}",
+        hex_f64(sample.time),
+        hex_f64(sample.peak.value()),
+        hex_f64(sample.current.value()),
+        hex_f64(sample.tec_power.value())
+    );
+    for t in theta {
+        line.push(' ');
+        line.push_str(&hex_f64(*t));
     }
-
-    /// Appends and flushes one step record: the sample fields plus the
-    /// full post-step state `θ`, all as bit-exact hex.
-    fn append(
-        &mut self,
-        idx: usize,
-        sample: &TransientSample,
-        theta: &[f64],
-    ) -> Result<(), OptError> {
-        let mut line = format!(
-            "item {idx} {} {} {} {}",
-            hex_f64(sample.time),
-            hex_f64(sample.peak.value()),
-            hex_f64(sample.current.value()),
-            hex_f64(sample.tec_power.value())
-        );
-        for t in theta {
-            line.push(' ');
-            line.push_str(&hex_f64(*t));
-        }
-        line.push('\n');
-        self.file
-            .write_all(line.as_bytes())
-            .and_then(|()| self.file.flush())
-            .map_err(|e| OptError::InvalidParameter(format!("checkpoint io: {e}")))
-    }
+    line
 }
 
 /// A recovered checkpoint prefix: the recorded samples, the post-step
 /// state `θ` of the last one, and its clock reading.
 type RecoveredPlayback = (Vec<TransientSample>, Vec<f64>, f64);
 
-/// Loads the longest intact step prefix of a playback checkpoint:
-/// `(samples, last θ, last time)`, or `None` for a missing file or an
-/// empty prefix. A header that disagrees with the expected fingerprint or
-/// step total is a stale checkpoint and a typed error; torn or duplicated
-/// item lines (a kill mid-append) are tolerated, later duplicates winning.
-fn load_transient_checkpoint(
-    path: &Path,
-    fp: u64,
-    total: usize,
-    nodes: usize,
-) -> Result<Option<RecoveredPlayback>, OptError> {
-    let content = match fs::read_to_string(path) {
-        Ok(c) => c,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => {
-            return Err(OptError::InvalidParameter(format!(
-                "checkpoint io at {}: {e}",
-                path.display()
-            )))
-        }
-    };
-    let stale = |why: String| {
-        OptError::InvalidParameter(format!("stale checkpoint at {}: {why}", path.display()))
-    };
-    let mut lines = content.lines().filter(|l| !l.trim().is_empty());
-    let expect_header: [String; 4] = [
-        CHECKPOINT_HEADER.to_string(),
-        format!("kind {CHECKPOINT_KIND}"),
-        format!("fingerprint {fp:016x}"),
-        format!("total {total}"),
-    ];
-    for want in &expect_header {
-        let got = lines.next().unwrap_or("");
-        if got != want {
-            return Err(stale(format!("expected `{want}`, found `{got}`")));
-        }
-    }
-
-    // Item lines keyed by index, later duplicates winning (a torn line may
-    // be re-appended intact after a resume).
-    let mut records: Vec<Option<&str>> = vec![None; total];
-    for line in lines {
+/// Decodes the longest intact step prefix of a playback checkpoint's
+/// replayed records: `(samples, last θ, last time)`, or `None` for an
+/// empty prefix. Torn or duplicated step lines (a kill mid-append) are
+/// tolerated, later duplicates winning.
+fn recover_steps(records: &[String], total: usize, nodes: usize) -> Option<RecoveredPlayback> {
+    // Decoded steps keyed by index, later duplicates winning (a torn line
+    // is re-appended intact after a resume). A record is intact only with
+    // exactly 4 sample fields plus the full state vector, every one a
+    // well-formed hex f64.
+    let mut steps: Vec<Option<Vec<f64>>> = vec![None; total];
+    for line in records {
         let mut it = line.split_ascii_whitespace();
         if it.next() != Some("item") {
             continue;
         }
-        let Some(idx) = it.next().and_then(|s| s.parse::<usize>().ok()) else {
+        let Some(slot) = it
+            .next()
+            .and_then(|s| s.parse::<usize>().ok())
+            .and_then(|idx| steps.get_mut(idx))
+        else {
             continue;
         };
-        if idx >= total {
-            continue;
+        let vals: Option<Vec<f64>> = it.map(parse_hex_f64).collect();
+        if let Some(vals) = vals.filter(|v| v.len() == 4 + nodes) {
+            *slot = Some(vals);
         }
-        // A record is intact only with exactly 4 sample fields plus the
-        // full state vector, every one a well-formed hex f64.
-        let fields: Vec<&str> = it.collect();
-        if fields.len() != 4 + nodes || fields.iter().any(|f| parse_hex_f64(f).is_none()) {
-            continue;
-        }
-        records[idx] = Some(line);
     }
 
-    let prefix = records.iter().take_while(|r| r.is_some()).count();
-    if prefix == 0 {
-        return Ok(None);
-    }
-    let mut samples = Vec::with_capacity(prefix);
-    let mut theta = Vec::new();
-    let mut time = 0.0f64;
-    for record in records.iter().take(prefix) {
-        // `prefix` only counts leading `Some` records.
-        #[allow(clippy::expect_used)]
-        let line = record.expect("prefix records are present");
-        let vals: Vec<f64> = line
-            .split_ascii_whitespace()
-            .skip(2)
-            .filter_map(parse_hex_f64)
-            .collect();
-        // Validated above: 4 sample fields + `nodes` state entries.
+    let mut samples = Vec::new();
+    let mut last = None;
+    for vals in steps.into_iter().map_while(|s| s) {
         samples.push(TransientSample {
             time: vals[0],
             peak: Celsius(vals[1]),
             current: Amperes(vals[2]),
             tec_power: Watts(vals[3]),
         });
-        time = vals[0];
-        theta = vals[4..].to_vec();
+        last = Some(vals);
     }
-    Ok(Some((samples, theta, time)))
+    let last = last?;
+    Some((samples, last[4..].to_vec(), last[0]))
 }
 
 #[cfg(test)]
@@ -1275,6 +1180,67 @@ mod tests {
             "idle phase should cool the die: {mid:?} vs {end:?}"
         );
         assert!((sim.time() - 1000.0).abs() < 1.0);
+    }
+
+    fn golden_header() -> Header {
+        Header {
+            magic: CHECKPOINT_HEADER,
+            kind: CHECKPOINT_KIND,
+            fingerprint: 0x0123_4567_89ab_cdef,
+            total: 4,
+        }
+    }
+
+    fn golden_path(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("tecopt-transient-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
+    const GOLDEN_HEADER: &str = "tecopt-checkpoint v1\nkind transient-playback\n\
+                                 fingerprint 0123456789abcdef\ntotal 4\n";
+    const GOLDEN_STEP_0: &str = "item 0 3fe0000000000000 4054000000000000 3ff8000000000000 \
+                                 3fd0000000000000 4072c00000000000 4072d80000000000\n";
+    const GOLDEN_STEP_1: &str = "item 1 3ff0000000000000 4053e00000000000 3ff8000000000000 \
+                                 3fd0000000000000 4072b00000000000 4072c40000000000\n";
+
+    #[test]
+    fn step_records_match_the_v1_format() {
+        let path = golden_path("golden.ckpt");
+        let (journal, _) = Journal::open(&path, &golden_header()).unwrap();
+        let sample = TransientSample {
+            time: 0.5,
+            peak: Celsius(80.0),
+            current: Amperes(1.5),
+            tec_power: Watts(0.25),
+        };
+        journal
+            .append(&encode_step(0, &sample, &[300.0, 301.5]))
+            .unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            format!("{GOLDEN_HEADER}{GOLDEN_STEP_0}")
+        );
+    }
+
+    #[test]
+    fn a_file_with_the_old_resume_blank_line_recovers_every_step() {
+        // Earlier writers terminated the tail with a newline on every
+        // resume, leaving a blank line between steps.
+        let path = golden_path("blank-line.ckpt");
+        std::fs::write(
+            &path,
+            format!("{GOLDEN_HEADER}{GOLDEN_STEP_0}\n{GOLDEN_STEP_1}"),
+        )
+        .unwrap();
+        let (_, records) = Journal::open(&path, &golden_header()).unwrap();
+        let (samples, theta, time) = recover_steps(&records, 4, 2).unwrap();
+        assert_eq!(samples.len(), 2);
+        assert_eq!(samples[1].peak, Celsius(79.5));
+        assert_eq!(theta, [299.0, 300.25]);
+        assert_eq!(time, 1.0);
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! The durable append-only work ledger.
+//! The durable append-only work ledger: a record schema on the
+//! [`tecopt::journal`] file protocol, which owns the atomic header,
+//! stale-header refusal, torn-tail replay and flushed appends.
 //!
-//! Format (`tecopt-ledger v1`), line-oriented like the `tecopt-checkpoint
-//! v1` files it extends:
+//! Format (`tecopt-ledger v1`):
 //!
 //! ```text
 //! tecopt-ledger v1
@@ -14,25 +15,10 @@
 //! quar <id:016x> <attempts> <reason> <partial> <message...>
 //! ```
 //!
-//! Durability contract:
-//!
-//! - the four-line header is written **atomically** (temp-file + rename,
-//!   [`tecopt::supervise::atomic_replace`]): a kill at any instant leaves
-//!   either no ledger or a complete header, never a torn one that would
-//!   read back as a *stale* ledger;
-//! - record lines are appended and flushed one at a time under a mutex; a
-//!   kill mid-append tears at most the final line, which the loader
-//!   skips (the in-flight candidate simply re-runs on resume). Flushing
-//!   makes records durable against *process kills* — the chaos suite's
-//!   crash model; an OS crash or power loss may additionally drop an
-//!   unsynced record tail, which re-runs those candidates on resume,
-//!   never corrupting settled state (only the atomically-replaced header
-//!   is synced through to stable storage);
-//! - floating-point payloads are bit-exact hex ([`hex_f64`]), so a
-//!   resumed exploration reproduces the uninterrupted run bit for bit;
-//! - the header fingerprint binds the file to the exact design-space
-//!   spec, device parameters, tile powers and settings that produced it —
-//!   a mismatch is a typed error, never a silent mixed resume.
+//! Floating-point payloads are bit-exact hex ([`hex_f64`]), so a resumed
+//! exploration reproduces the uninterrupted run bit for bit. The header
+//! fingerprint binds the file to the exact design-space spec, device
+//! parameters, tile powers and settings that produced it.
 //!
 //! `claim` records are the lease trail: one per admitted evaluation
 //! attempt, written *before* the evaluation starts. A claim without a
@@ -45,10 +31,9 @@
 
 use crate::quarantine::{PartialPrefix, QuarantineReason, QuarantineRecord};
 use std::collections::BTreeMap;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
-use std::sync::Mutex;
-use tecopt::supervise::{atomic_replace, hex_f64, parse_hex_f64};
+use std::path::Path;
+use tecopt::journal::{Header, Journal};
+use tecopt::supervise::{hex_f64, parse_hex_f64};
 use tecopt::OptError;
 use tecopt_units::{Amperes, Celsius, Watts};
 
@@ -218,17 +203,30 @@ impl LedgerState {
     pub fn settled_count(&self) -> usize {
         self.done.len() + self.quarantined.len()
     }
-}
 
-fn ledger_io(path: &Path) -> impl Fn(std::io::Error) -> OptError + '_ {
-    move |e| OptError::InvalidParameter(format!("ledger io at {}: {e}", path.display()))
+    /// Folds one replayed record line into the state. Unknown tags and
+    /// torn lines are skipped, forward compatible with later record kinds.
+    fn apply(&mut self, line: &str) {
+        if let Some(rest) = line.strip_prefix("claim ") {
+            let mut it = rest.split_ascii_whitespace();
+            let id = it.next().and_then(parse_hex_u64);
+            let attempt = it.next().and_then(|a| a.parse::<u32>().ok());
+            if let (Some(id), Some(attempt), None) = (id, attempt, it.next()) {
+                let slot = self.claims.entry(id).or_insert(0);
+                *slot = (*slot).max(attempt);
+            }
+        } else if let Some(rec) = line.strip_prefix("done ").and_then(EvalRecord::decode) {
+            self.done.insert(rec.id(), rec);
+        } else if let Some(rec) = line.strip_prefix("quar ").and_then(decode_quarantine) {
+            self.quarantined.insert(rec.id, rec);
+        }
+    }
 }
 
 /// The durable append-only work ledger of one exploration.
 #[derive(Debug)]
 pub struct Ledger {
-    path: PathBuf,
-    file: Mutex<std::fs::File>,
+    journal: Journal,
 }
 
 impl Ledger {
@@ -245,85 +243,23 @@ impl Ledger {
     ///   parameters would silently mix explorations;
     /// - [`OptError::InvalidParameter`] `"ledger io ..."` for I/O errors.
     pub fn open(path: &Path, fp: u64, total: usize) -> Result<(Ledger, LedgerState), OptError> {
-        let io = ledger_io(path);
+        let header = Header {
+            magic: LEDGER_HEADER,
+            kind: LEDGER_KIND,
+            fingerprint: fp,
+            total,
+        };
+        let (journal, records) = Journal::open(path, &header)?;
         let mut state = LedgerState::default();
-        match std::fs::read_to_string(path) {
-            Ok(text) => {
-                let mut lines = text.lines();
-                let header_ok = lines.next() == Some(LEDGER_HEADER)
-                    && lines.next() == Some(&format!("kind {LEDGER_KIND}"))
-                    && lines.next() == Some(&format!("fingerprint {fp:016x}"))
-                    && lines.next() == Some(&format!("total {total}"));
-                if !header_ok {
-                    return Err(OptError::InvalidParameter(format!(
-                        "stale ledger {}: header does not match this exploration \
-                         (kind {LEDGER_KIND}, fingerprint {fp:016x}, total {total}); \
-                         delete it to start fresh",
-                        path.display(),
-                    )));
-                }
-                for line in lines {
-                    if let Some(rest) = line.strip_prefix("claim ") {
-                        let mut it = rest.split_ascii_whitespace();
-                        let Some(id) = it.next().and_then(parse_hex_u64) else {
-                            continue;
-                        };
-                        let Some(attempt) = it.next().and_then(|a| a.parse::<u32>().ok()) else {
-                            continue;
-                        };
-                        if it.next().is_none() {
-                            let slot = state.claims.entry(id).or_insert(0);
-                            *slot = (*slot).max(attempt);
-                        }
-                    } else if let Some(rest) = line.strip_prefix("done ") {
-                        if let Some(rec) = EvalRecord::decode(rest) {
-                            state.done.insert(rec.id(), rec);
-                        }
-                    } else if let Some(rest) = line.strip_prefix("quar ") {
-                        if let Some(rec) = decode_quarantine(rest) {
-                            state.quarantined.insert(rec.id, rec);
-                        }
-                    }
-                    // Unknown tags and torn lines: skipped, forward
-                    // compatible with later record kinds.
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                let header = format!(
-                    "{LEDGER_HEADER}\nkind {LEDGER_KIND}\nfingerprint {fp:016x}\ntotal {total}\n"
-                );
-                atomic_replace(path, &header).map_err(&io)?;
-            }
-            Err(e) => return Err(io(e)),
+        for line in &records {
+            state.apply(line);
         }
-        let file = std::fs::OpenOptions::new()
-            .append(true)
-            .open(path)
-            .map_err(&io)?;
-        Ok((
-            Ledger {
-                path: path.to_path_buf(),
-                file: Mutex::new(file),
-            },
-            state,
-        ))
+        Ok((Ledger { journal }, state))
     }
 
     /// The ledger file path.
     pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    fn append(&self, line: &str) -> Result<(), OptError> {
-        let io = ledger_io(&self.path);
-        let mut file = self
-            .file
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        // The mutex serializes exactly this append+flush; interleaved
-        // records from concurrent workers would corrupt the trail.
-        writeln!(file, "{line}").map_err(&io)?;
-        file.flush().map_err(&io)
+        self.journal.path()
     }
 
     /// Leases one evaluation attempt: appended and flushed *before* the
@@ -334,7 +270,7 @@ impl Ledger {
     ///
     /// Ledger I/O as a typed [`OptError::InvalidParameter`].
     pub fn claim(&self, id: u64, attempt: u32) -> Result<(), OptError> {
-        self.append(&format!("claim {id:016x} {attempt}"))
+        self.journal.append(&format!("claim {id:016x} {attempt}"))
     }
 
     /// Appends a terminal evaluation record.
@@ -343,7 +279,7 @@ impl Ledger {
     ///
     /// Ledger I/O as a typed [`OptError::InvalidParameter`].
     pub fn record(&self, rec: &EvalRecord) -> Result<(), OptError> {
-        self.append(&rec.encode())
+        self.journal.append(&rec.encode())
     }
 
     /// Appends a quarantine (blacklist) record.
@@ -352,7 +288,7 @@ impl Ledger {
     ///
     /// Ledger I/O as a typed [`OptError::InvalidParameter`].
     pub fn quarantine(&self, rec: &QuarantineRecord) -> Result<(), OptError> {
-        self.append(&encode_quarantine(rec))
+        self.journal.append(&encode_quarantine(rec))
     }
 }
 
@@ -360,7 +296,7 @@ impl Ledger {
 mod tests {
     use super::*;
 
-    fn scratch(name: &str) -> PathBuf {
+    fn scratch(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("tecopt-ledger-{}-{name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
@@ -427,6 +363,55 @@ mod tests {
     }
 
     #[test]
+    fn a_claim_appended_after_a_torn_tail_survives_the_next_reopen() {
+        let path = scratch("reglue");
+        let (ledger, _) = Ledger::open(&path, 1, 4).unwrap();
+        ledger.claim(8, 1).unwrap();
+        ledger.claim(8, 2).unwrap();
+        drop(ledger);
+        // A kill mid-append tears the second claim.
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, &text[..text.len() - 3]).unwrap();
+
+        let (ledger, state) = Ledger::open(&path, 1, 4).unwrap();
+        assert_eq!(state.claims.get(&8), Some(&1));
+        ledger.claim(8, 2).unwrap();
+        drop(ledger);
+        // The retry budget must not be reset by the crash.
+        let (_, state) = Ledger::open(&path, 1, 4).unwrap();
+        assert_eq!(state.claims.get(&8), Some(&2));
+    }
+
+    #[test]
+    fn ledger_bytes_match_the_v1_format() {
+        let path = scratch("golden");
+        let (ledger, _) = Ledger::open(&path, 0x0123_4567_89ab_cdef, 4).unwrap();
+        ledger.claim(7, 1).unwrap();
+        ledger.record(&eval_rec(7)).unwrap();
+        ledger.record(&EvalRecord::Pruned { id: 9 }).unwrap();
+        let partial = Some(PartialPrefix {
+            devices: 2,
+            peak: Celsius(83.0),
+        });
+        let quar = QuarantineRecord::new(
+            11,
+            2,
+            QuarantineReason::Panicked,
+            "division by zero",
+            partial,
+        );
+        ledger.quarantine(&quar).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            "tecopt-ledger v1\nkind explore-candidates\nfingerprint 0123456789abcdef\ntotal 4\n\
+             claim 0000000000000007 1\n\
+             done 0000000000000007 eval 1 3 4011000000000000 4053a00000000000 4001000000000000 41\n\
+             done 0000000000000009 pruned\n\
+             quar 000000000000000b 2 panic 2:4054c00000000000 division by zero\n"
+        );
+    }
+
+    #[test]
     fn header_mismatch_is_a_typed_stale_error() {
         let path = scratch("stale");
         drop(Ledger::open(&path, 1, 4).unwrap());
@@ -453,7 +438,7 @@ mod tests {
     fn an_orphaned_temp_file_does_not_block_a_fresh_ledger() {
         let path = scratch("orphan");
         // Simulate a kill between temp-file write and rename.
-        std::fs::write(tecopt::supervise::temp_sibling(&path), "garbage").unwrap();
+        std::fs::write(tecopt::journal::temp_sibling(&path), "garbage").unwrap();
         let (ledger, state) = Ledger::open(&path, 1, 4).unwrap();
         assert!(state.done.is_empty());
         ledger.record(&eval_rec(1)).unwrap();

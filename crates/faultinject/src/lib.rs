@@ -2,10 +2,10 @@
 //!
 //! Robustness claims are only as good as the failures actually exercised.
 //! This crate deterministically manufactures the pathological inputs the
-//! hardened pipeline must survive — rank-deficient and near-singular
-//! matrices, NaN poisoning, broken symmetry, lost definiteness — so the
-//! integration tests can drive **every** public error variant of the
-//! workspace instead of only the happy path. A second family of
+//! hardened pipeline must survive — rank-deficient matrices, NaN
+//! poisoning, broken symmetry, lost definiteness — so the integration
+//! tests can drive **every** public error variant of the workspace
+//! instead of only the happy path. A second family of
 //! injectors targets the `tecopt-serve` service layer: torn wire frames,
 //! dribbling slow clients, scheduled mid-request panics, and artificially
 //! slow evaluations for deadline and drain chaos.
@@ -88,20 +88,6 @@ pub fn make_rank_deficient(a: &mut DenseMatrix, src: usize, dst: usize) {
         a[(r, dst)] = v;
     }
     a[(dst, dst)] = a[(src, src)];
-}
-
-/// Blends the matrix toward the rank-deficient copy produced by
-/// [`make_rank_deficient`]: the result is `(1−t)·A + t·A_singular`, singular
-/// at `t = 1` and increasingly ill-conditioned as `t → 1`.
-pub fn make_near_singular(a: &mut DenseMatrix, src: usize, dst: usize, t: f64) {
-    let mut singular = a.clone();
-    make_rank_deficient(&mut singular, src, dst);
-    let n = a.rows();
-    for r in 0..n {
-        for c in 0..n {
-            a[(r, c)] = (1.0 - t) * a[(r, c)] + t * singular[(r, c)];
-        }
-    }
 }
 
 /// Destroys symmetry by adding `delta` to a single off-diagonal entry
@@ -489,7 +475,7 @@ pub fn tear_tail(path: &std::path::Path, keep: u64) -> std::io::Result<()> {
 
 /// A disk-full (or permission-lost) injector for the atomic
 /// temp-file+rename protocol: occupies the writer's temp sibling
-/// (`<final>.tmp`, the [`tecopt::supervise::temp_sibling`] convention)
+/// (`<final>.tmp`, the [`tecopt::journal::temp_sibling`] convention)
 /// with a directory, so creating the temp file fails with a typed I/O
 /// error while the *final* path — and every record already persisted in
 /// it — stays untouched. [`DiskFull::release`] (or drop) clears the
@@ -506,7 +492,7 @@ impl DiskFull {
     ///
     /// Any filesystem failure creating the blocking directory.
     pub fn at(final_path: &std::path::Path) -> std::io::Result<DiskFull> {
-        let tmp = tecopt::supervise::temp_sibling(final_path);
+        let tmp = tecopt::journal::temp_sibling(final_path);
         std::fs::create_dir_all(&tmp)?;
         Ok(DiskFull { tmp })
     }
@@ -622,22 +608,6 @@ mod tests {
         assert!(a.is_symmetric(0.0));
         assert_eq!(determinant(&a).unwrap(), 0.0);
         assert!(matches!(Lu::factor(&a), Err(LinalgError::Singular { .. })));
-    }
-
-    #[test]
-    fn near_singular_degrades_conditioning_monotonically() {
-        let base = spd_matrix(5, 11);
-        let cond_at = |t: f64| {
-            let mut a = base.clone();
-            make_near_singular(&mut a, 0, 4, t);
-            Cholesky::factor(&a).map(|c| c.condition_estimate())
-        };
-        let c0 = cond_at(0.0).unwrap();
-        let c9 = cond_at(0.999_999).unwrap();
-        assert!(
-            c9 > 100.0 * c0,
-            "conditioning did not degrade: {c0} vs {c9}"
-        );
     }
 
     #[test]
@@ -848,12 +818,12 @@ mod tests {
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "keep this\n");
 
         let blockage = DiskFull::at(&path).unwrap();
-        let denied = tecopt::supervise::atomic_replace(&path, "replacement\n");
+        let denied = tecopt::journal::atomic_replace(&path, "replacement\n");
         assert!(denied.is_err());
         // The final path — and its surviving records — are untouched.
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "keep this\n");
         blockage.release().unwrap();
-        tecopt::supervise::atomic_replace(&path, "replacement\n").unwrap();
+        tecopt::journal::atomic_replace(&path, "replacement\n").unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "replacement\n");
     }
 

@@ -19,11 +19,19 @@
 //! 2 %-dense matrix costs ~`2·nnz ≈ 1e4` multiplies per iteration — even a
 //! thousand iterations win, and the gap only widens with n.
 
-use crate::SolveMethod;
 use crate::{
     conjugate_gradient_cancellable, AppliedUpdate, CancelToken, CgSettings, Cholesky, CsrMatrix,
     DenseMatrix, DiagonalUpdate, LinalgError, UpdatableFactor,
 };
+
+/// Which backend produced a solution.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SolveMethod {
+    /// Dense Cholesky: a fresh factor, or a rank-k update over one.
+    Cholesky,
+    /// Jacobi-preconditioned conjugate gradients on a CSR copy.
+    SparseCg,
+}
 
 /// Dense-vs-sparse crossover: minimum dimension for the sparse backend.
 pub const SPARSE_MIN_DIM: usize = 512;

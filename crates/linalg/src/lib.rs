@@ -50,13 +50,12 @@ pub mod eigen;
 mod error;
 mod lu;
 mod matrix;
-mod robust;
 mod sparse;
 pub mod stieltjes;
 mod update;
 
 pub use backend::{
-    BackendSolve, FactoredSystem, ResolvedBackend, SolverBackend, SPARSE_MAX_DENSITY,
+    BackendSolve, FactoredSystem, ResolvedBackend, SolveMethod, SolverBackend, SPARSE_MAX_DENSITY,
     SPARSE_MIN_DIM,
 };
 pub use cancel::CancelToken;
@@ -65,6 +64,5 @@ pub use cholesky::Cholesky;
 pub use error::LinalgError;
 pub use lu::{determinant, log_abs_determinant, Lu};
 pub use matrix::DenseMatrix;
-pub use robust::{solve_robust, RobustSolution, SolveDiagnostics, SolveMethod, SolverPolicy};
 pub use sparse::{CsrMatrix, Triplet};
 pub use update::{AppliedUpdate, DiagonalUpdate, SmallLdl, UpdatableFactor, LDL_PIVOT_FLOOR};

@@ -237,56 +237,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn solve_robust_is_total_on_near_singular_blends(
-        seed in 0u64..2000,
-        dim in 2usize..10,
-        t in 0.0f64..=1.0,
-    ) {
-        // Blend an SPD matrix toward an exactly rank-deficient copy; at
-        // t = 1 it is singular, just below it is arbitrarily ill-conditioned.
-        let base = random_spd(seed, dim);
-        let mut sing = base.clone();
-        for c in 0..dim {
-            let v = sing[(0, c)];
-            sing[(dim - 1, c)] = v;
-        }
-        for r in 0..dim {
-            let v = sing[(r, 0)];
-            sing[(r, dim - 1)] = v;
-        }
-        sing[(dim - 1, dim - 1)] = sing[(0, 0)];
-        let mut a = DenseMatrix::zeros(dim, dim);
-        for r in 0..dim {
-            for c in 0..dim {
-                a[(r, c)] = (1.0 - t) * base[(r, c)] + t * sing[(r, c)];
-            }
-        }
-        let b: Vec<f64> = (0..dim).map(|k| (k as f64 * 0.61).cos()).collect();
-        match tecopt_linalg::solve_robust(&a, &b, &tecopt_linalg::SolverPolicy::default()) {
-            Ok(sol) => {
-                // Accepted solutions must actually satisfy the system to the
-                // policy's residual tolerance.
-                let r = a.mul_vec(&sol.x).unwrap();
-                let scale: f64 = b.iter().map(|x| x.abs()).fold(0.0, f64::max).max(1.0)
-                    + a.max_abs() * sol.x.iter().map(|x| x.abs()).fold(0.0, f64::max);
-                for (ri, bi) in r.iter().zip(&b) {
-                    prop_assert!((ri - bi).abs() <= 1e-4 * scale);
-                }
-            }
-            Err(e) => {
-                // Degenerate inputs fail with the documented variants only.
-                prop_assert!(matches!(
-                    e,
-                    tecopt_linalg::LinalgError::NotPositiveDefinite { .. }
-                        | tecopt_linalg::LinalgError::Singular { .. }
-                        | tecopt_linalg::LinalgError::IllConditioned { .. }
-                        | tecopt_linalg::LinalgError::NoConvergence { .. }
-                ), "unexpected error {e:?}");
-            }
-        }
-    }
-
-    #[test]
     fn pd_threshold_terminates_for_any_tolerance(
         seed in 0u64..2000,
         dim in 2usize..8,

@@ -54,6 +54,7 @@ const FACTOR_LOOP_PREFIX: &str = "crates/core/src/";
 /// graph: the flow-aware lock rules report findings here as well as in
 /// the service layer itself (the graph is always built workspace-wide).
 const LOCK_CORE_FILES: &[&str] = &[
+    "crates/core/src/journal.rs",
     "crates/core/src/parallel.rs",
     "crates/core/src/supervise.rs",
     "crates/core/src/system.rs",
@@ -73,9 +74,12 @@ const CANCELLATION_FILES: &[&str] = &[
 
 /// Durable-persistence modules: every whole-file write to a final path
 /// must show rename evidence (`non-atomic-persist`), or a crash mid-write
-/// leaves a torn ledger/checkpoint. The sweep checkpoints, the transient
-/// playback checkpoints, and the explorer's work ledger.
+/// leaves a torn ledger/checkpoint. The journal that owns the file
+/// protocol, and the three record schemas on top of it: the sweep
+/// checkpoints, the transient playback checkpoints, and the explorer's
+/// work ledger.
 const PERSIST_FILES: &[&str] = &[
+    "crates/core/src/journal.rs",
     "crates/core/src/supervise.rs",
     "crates/core/src/transient.rs",
     "crates/explore/src/ledger.rs",

@@ -18,9 +18,12 @@
 #      (incremental-cache) one is at least 5x faster,
 #   5. compile of every criterion bench target (bench code must never rot),
 #   6. the complete test suite, including the fault-injection error-path
-#      coverage (tests/error_paths.rs), the property-based robustness
-#      sweeps (tests/robustness.rs), and the cross-backend/parallel
-#      determinism suite (tests/backend_equivalence.rs),
+#      coverage (tests/error_paths.rs, every variant reached through its
+#      remaining producers), the property-based robustness sweeps
+#      (tests/robustness.rs), the cross-backend/parallel determinism suite
+#      (tests/backend_equivalence.rs), and the journal's torn-tail
+#      regressions and golden-bytes format pins for the sweep checkpoint,
+#      transient checkpoint and explore ledger schemas (DESIGN.md §19),
 #   7. a single-threaded re-run of the test suite, so any accidental
 #      dependence of the parallel sweeps on test-runner concurrency shows
 #      up as a divergence between the two passes,

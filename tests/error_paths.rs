@@ -15,8 +15,8 @@ use tecopt::{
 use tecopt_device::{DeviceError, OperatingPoint, StampedSystem, TecArray};
 use tecopt_faultinject as fi;
 use tecopt_linalg::{
-    conjugate_gradient, eigen, solve_robust, CgSettings, Cholesky, CsrMatrix, DenseMatrix,
-    LinalgError, Lu, SolverPolicy, Triplet,
+    conjugate_gradient, eigen, CgSettings, Cholesky, CsrMatrix, DenseMatrix, LinalgError, Lu,
+    SmallLdl, Triplet,
 };
 use tecopt_power::hotspot_io::{parse_ptrace, to_ptrace};
 use tecopt_power::{Floorplan, PowerError, PowerProfile, Unit};
@@ -77,19 +77,19 @@ fn every_linalg_error_variant_is_reachable() {
         Err(LinalgError::NoConvergence { iterations: 1, .. })
     ));
 
-    // NonFiniteEntry: NaN poisoning is caught before factorization.
+    // NonFiniteEntry: NaN poisoning is caught by matrix validation.
     let mut poisoned = fi::spd_matrix(4, 5);
     fi::inject_nan(&mut poisoned, 2, 1);
     assert!(matches!(
-        solve_robust(&poisoned, &[1.0; 4], &SolverPolicy::default()),
+        poisoned.ensure_finite(),
         Err(LinalgError::NonFiniteEntry { row: 2, col: 1 })
     ));
 
-    // IllConditioned: factorable but numerically meaningless under a strict
-    // policy that forbids fallbacks.
+    // IllConditioned: an SMW capacitance matrix whose pivot falls below
+    // the LDLᵀ condition floor can no longer certify inertia.
     let near = DenseMatrix::from_diagonal(&[1.0, 1e-18]);
     assert!(matches!(
-        solve_robust(&near, &[1.0, 1.0], &SolverPolicy::strict()),
+        SmallLdl::factor(&near),
         Err(LinalgError::IllConditioned { estimate } ) if estimate > 1e15
     ));
 
@@ -383,14 +383,11 @@ fn every_opt_error_variant_is_reachable() {
         }))
     ));
 
-    // Linalg: an invalid solver policy is rejected before any factorization.
-    let bad_policy = SolverPolicy {
-        max_residual: -1.0,
-        ..SolverPolicy::default()
-    };
+    // Linalg: past runaway the Lemma-3 check's own Cholesky factorization
+    // fails, and the linear-algebra fault surfaces verbatim.
     assert!(matches!(
-        system.solve_with_policy(Amperes(1.0), &bad_policy),
-        Err(OptError::Linalg(LinalgError::InvalidInput(_)))
+        tecopt::theory::check_lemma3(&system, Amperes(1e5)),
+        Err(OptError::Linalg(LinalgError::NotPositiveDefinite { .. }))
     ));
 
     // BudgetExhausted: an adversarial tolerance below the bracket's

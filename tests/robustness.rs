@@ -6,7 +6,6 @@
 use proptest::prelude::*;
 use tecopt::transient::{TransientSample, TransientTrace};
 use tecopt::{runaway_limit, CoolingSystem, OptError, PackageConfig, TecParams, TileIndex};
-use tecopt_linalg::SolverPolicy;
 use tecopt_power::{Floorplan, Unit};
 use tecopt_thermal::Rect;
 use tecopt_units::{Amperes, Celsius, Meters, Watts};
@@ -94,14 +93,14 @@ proptest! {
 
     #[test]
     fn near_runaway_currents_error_cleanly(frac in 0.90f64..1.10) {
-        // Operating points straddling λ_m: below it the hardened solver must
-        // succeed, past it the failure must be the typed runaway signal (or
-        // an ill-conditioning report) — and the search itself must have
+        // Operating points straddling λ_m: below it the solve must succeed,
+        // past it the failure must be the typed runaway signal (or an
+        // ill-conditioning report) — and the search itself must have
         // terminated within its probe budget to get here at all.
         let system = base_system(0.4).unwrap();
         let lim = runaway_limit(&system, 1e-9).unwrap();
         let i = Amperes(lim.lambda().value() * frac);
-        match system.solve_with_policy(i, &SolverPolicy::default()) {
+        match system.solve(i) {
             Ok(state) => {
                 prop_assert!(state.peak().value().is_finite());
                 prop_assert!(state.condition_estimate() >= 1.0);
