@@ -1,5 +1,5 @@
-//! Shared harness utilities for the experiment binaries and Criterion
-//! benches that regenerate the paper's tables and figures.
+//! Shared harness utilities for the experiment binaries that regenerate
+//! the paper's tables and figures.
 //!
 //! See `DESIGN.md` §5 for the experiment index and `EXPERIMENTS.md` for the
 //! recorded paper-vs-measured outcomes. Binaries:

@@ -29,8 +29,8 @@ use crate::deploy::evaluate_deployments_supervised;
 use crate::supervise::RunContext;
 use crate::{
     full_cover, greedy_deploy, runaway_limit, ConvexityCertificate, ConvexitySettings,
-    CoolingSystem, CurrentSettings, DeployOutcome, DeploySettings, Deployment, FactorStrategy,
-    OptError, RunawayLimit, SweepFailure, TecParams,
+    CoolingSystem, CurrentSettings, DeployOutcome, DeploySettings, Deployment, OptError,
+    RunawayLimit, SweepFailure, TecParams,
 };
 use tecopt_thermal::{PackageConfig, TileIndex};
 use tecopt_units::{Amperes, Celsius, Watts};
@@ -47,7 +47,6 @@ pub struct CoolingDesigner {
     with_full_cover: bool,
     alternatives: usize,
     run_context: Option<RunContext>,
-    strategy: FactorStrategy,
 }
 
 impl CoolingDesigner {
@@ -68,15 +67,7 @@ impl CoolingDesigner {
             with_full_cover: true,
             alternatives: 0,
             run_context: None,
-            strategy: FactorStrategy::default(),
         }
-    }
-
-    /// Routes the greedy deployment's placement evaluations through
-    /// `strategy` — see [`DeploySettings::with_strategy`].
-    pub fn factor_strategy(mut self, strategy: FactorStrategy) -> CoolingDesigner {
-        self.strategy = strategy;
-        self
     }
 
     /// Sets the worst-case power of every tile (row-major). Required.
@@ -152,8 +143,7 @@ impl CoolingDesigner {
         let base = CoolingSystem::without_devices(&self.config, self.params, powers)?;
         ctx.ensure_live()?;
         let uncooled_peak = base.solve(Amperes(0.0))?.peak();
-        let mut deploy_settings =
-            DeploySettings::with_limit(self.limit).with_strategy(self.strategy);
+        let mut deploy_settings = DeploySettings::with_limit(self.limit);
         deploy_settings.current = self.current;
         // The greedy search and the Full-Cover baseline are independent
         // pipelines over the same base system — run them side by side.

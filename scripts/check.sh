@@ -16,14 +16,18 @@
 #      machinery in §16), followed by the cache benchmark, which fails
 #      unless a cold full-workspace lint is under 1 s and a warm
 #      (incremental-cache) one is at least 5x faster,
-#   5. compile of every criterion bench target (bench code must never rot),
+#   5. a locked release build of the committed benchmark (perfbench/, its
+#      own workspace over crates/* by path), so an API change that breaks
+#      the benchmark, or one that would rewrite perfbench/Cargo.lock,
+#      fails here,
 #   6. the complete test suite, including the fault-injection error-path
 #      coverage (tests/error_paths.rs, every variant reached through its
 #      remaining producers), the property-based robustness sweeps
 #      (tests/robustness.rs), the cross-backend/parallel determinism suite
-#      (tests/backend_equivalence.rs), and the journal's torn-tail
+#      (tests/backend_equivalence.rs), the journal's torn-tail
 #      regressions and golden-bytes format pins for the sweep checkpoint,
 #      transient checkpoint and explore ledger schemas (DESIGN.md §19),
+#      and the offline generator's golden pins (tests/generator_golden.rs),
 #   7. a single-threaded re-run of the test suite, so any accidental
 #      dependence of the parallel sweeps on test-runner concurrency shows
 #      up as a divergence between the two passes,
@@ -33,47 +37,41 @@
 #      `#[ignore]`d heavyweight 32x32 kill-at-every-probe-boundary sweep
 #      that the ordinary test passes skip,
 #   9. the serve chaos pass (tests/serve_chaos.rs): torn frames, client
-#      deaths mid-request, overload shedding, deadline storms, panic
-#      containment, and graceful drain against a live tecopt-serve
-#      server, single-threaded and including the `#[ignore]`d 8-client
-#      mixed-chaos soak,
+#      deaths mid-request, nominal and overloaded bursts with every
+#      request accounted for, deadline storms, panic containment, and
+#      graceful drain against a live tecopt-serve server, single-threaded
+#      and including the `#[ignore]`d 8-client mixed-chaos soak,
 #  10. the transient chaos pass (tests/transient_chaos.rs): hostile and
 #      panicking controllers, mid-trace power spikes, NaN samples, and
 #      kill-at-every-step checkpoint resume against the safety-enveloped
 #      transient runtime (DESIGN.md §14), single-threaded and including
 #      the `#[ignore]`d playback-resume chains,
-#  11. the PR-6 acceptance benchmark (bench_pr6): factorization-reuse
-#      speedup ≥ 5x and safety-envelope overhead ≤ 2%, regenerating the
-#      committed BENCH_PR6.json,
-#  12. the rank-k update equivalence suite (tests/update_equivalence.rs):
+#  11. the rank-k update equivalence suite (tests/update_equivalence.rs):
 #      property-based agreement (≤ 1e-8) between SMW-updated and freshly
 #      factored solves, the degraded-condition refactorization fallback,
 #      and cancellation of a supervised fast deployment (DESIGN.md §15),
-#  13. the PR-7 acceptance benchmark (bench_pr7): greedy deployment with
-#      FactorStrategy::RankKUpdate ≥ 5x over the refactor-per-probe dense
-#      baseline at 32x32 with peak drift ≤ 1e-8 vs fresh factorizations,
-#      regenerating the committed BENCH_PR7.json,
-#  14. the fleet chaos pass (tests/fleet_chaos.rs): shard kills and
+#  12. the fleet chaos pass (tests/fleet_chaos.rs): shard kills and
 #      restarts mid-sweep under load, failover, health-machine recovery,
 #      cache replication (including poisoned replicas), bit-identical
 #      checkpointed sweep handoff, and the wire-level ping/extension-frame
 #      forward-compatibility contract (DESIGN.md §17), single-threaded and
 #      including the `#[ignore]`d kill-every-shard soak,
-#  15. the PR-9 acceptance benchmark (bench_pr9): fleet failover p99 ≤ 5x
-#      the healthy p99 and fixed-floor hedging p99 ≤ 0.75x unhedged
-#      against a 20x straggler, regenerating the committed BENCH_PR9.json,
-#  16. the explorer chaos pass (tests/explore_chaos.rs): kill-at-every-
+#  13. the explorer chaos pass (tests/explore_chaos.rs): kill-at-every-
 #      ledger-boundary resume with zero duplicated evaluations and a
 #      bit-identical Pareto front, typed quarantine of panicking/NaN/
 #      envelope-tripping candidates across kill cycles, torn-tail and
 #      full-disk regressions at every fixed persist site, and the keyed
 #      Explore fleet-failover handoff (DESIGN.md §18), single-threaded
 #      and including the `#[ignore]`d 10k-candidate kill/resume soak,
-#  17. the PR-10 acceptance benchmark (bench_pr10): killed-at-half +
-#      resume wall time ≤ 1.02x the uninterrupted ledger sweep, zero
-#      duplicated evaluations, and parallel speedup over a serial loop
-#      ≥ min(0.85 x workers, 8) on a 10k-candidate grid, regenerating
-#      the committed BENCH_PR10.json.
+#  14. the release-mode timing gates (tests/perf_gates.rs, all
+#      `#[ignore]`d, run one at a time): transient factorization-reuse
+#      speedup ≥ 5x with bit-identical trajectories and safety-envelope
+#      overhead ≤ 2%; 32x32 rank-k greedy deployment ≥ 5x over the
+#      refactor-per-probe baseline with peak drift ≤ 1e-8; fleet failover
+#      p99 ≤ 5x healthy and hedged p99 ≤ 0.75x unhedged against a 20x
+#      straggler; explore killed-at-half + resume ≤ 1.02x a clean ledger
+#      sweep with zero duplicated evaluations, bit-identical fronts and
+#      parallel speedup ≥ min(0.85 x workers, 8).
 # Run from the repository root: ./scripts/check.sh
 set -eu
 
@@ -94,8 +92,8 @@ cargo run -q -p tecopt-xtask -- lint --baseline lint-baseline.txt
 echo "==> cargo run --release -p tecopt-xtask -- bench-cache --enforce"
 cargo run --release -q -p tecopt-xtask -- bench-cache --enforce
 
-echo "==> cargo bench --no-run"
-cargo bench --no-run
+echo "==> cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml"
+cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
@@ -112,25 +110,16 @@ cargo test -q --test serve_chaos -- --test-threads=1 --include-ignored
 echo "==> cargo test -q --test transient_chaos -- --test-threads=1 --include-ignored"
 cargo test -q --test transient_chaos -- --test-threads=1 --include-ignored
 
-echo "==> cargo run --release -p tecopt-bench --bin bench_pr6 > BENCH_PR6.json"
-cargo run --release -q -p tecopt-bench --bin bench_pr6 > BENCH_PR6.json
-
 echo "==> cargo test -q --test update_equivalence"
 cargo test -q --test update_equivalence
-
-echo "==> cargo run --release -p tecopt-bench --bin bench_pr7 > BENCH_PR7.json"
-cargo run --release -q -p tecopt-bench --bin bench_pr7 > BENCH_PR7.json
 
 echo "==> cargo test -q --test fleet_chaos -- --test-threads=1 --include-ignored"
 cargo test -q --test fleet_chaos -- --test-threads=1 --include-ignored
 
-echo "==> cargo run --release -p tecopt-bench --bin bench_pr9 > BENCH_PR9.json"
-cargo run --release -q -p tecopt-bench --bin bench_pr9 > BENCH_PR9.json
-
 echo "==> cargo test -q --test explore_chaos -- --test-threads=1 --include-ignored"
 cargo test -q --test explore_chaos -- --test-threads=1 --include-ignored
 
-echo "==> cargo run --release -p tecopt-bench --bin bench_pr10 > BENCH_PR10.json"
-cargo run --release -q -p tecopt-bench --bin bench_pr10 > BENCH_PR10.json
+echo "==> cargo test --release -q --test perf_gates -- --ignored --test-threads=1"
+cargo test --release -q --test perf_gates -- --ignored --test-threads=1
 
 echo "==> all checks passed"

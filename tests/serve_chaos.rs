@@ -257,65 +257,73 @@ fn a_client_dying_mid_request_cancels_its_evaluation() {
 
 #[test]
 fn overload_sheds_with_typed_overloaded_not_timeouts() {
-    // One slow worker, a queue of 2: most of a 12-request burst must shed.
-    let h = Harness::start(
-        SlowEvaluator::new(
-            tecopt_serve::TecEvaluator::new(small_system(), CurrentSettings::default()),
-            Duration::from_millis(150),
-        ),
-        EngineConfig {
-            queue_capacity: 2,
-            ..EngineConfig::default()
-        },
-        ServerConfig {
-            handlers: 6,
-            eval_workers: 1,
-            ..fast_server_config()
-        },
-    );
+    const BURST: usize = 12;
+    // (queue capacity, evaluation workers, expect shedding): a queue with
+    // room for the whole burst serves every request; one slow worker
+    // behind a queue of 2 must shed most of it.
+    for (queue_capacity, eval_workers, overloaded) in [(64, 2, false), (2, 1, true)] {
+        let h = Harness::start(
+            SlowEvaluator::new(
+                tecopt_serve::TecEvaluator::new(small_system(), CurrentSettings::default()),
+                Duration::from_millis(150),
+            ),
+            EngineConfig {
+                queue_capacity,
+                ..EngineConfig::default()
+            },
+            ServerConfig {
+                handlers: 6,
+                eval_workers,
+                ..fast_server_config()
+            },
+        );
 
-    let shed = Arc::new(AtomicUsize::new(0));
-    let served = Arc::new(AtomicUsize::new(0));
-    let workers: Vec<_> = (0..12)
-        .map(|i| {
-            let addr = h.addr.clone();
-            let shed = Arc::clone(&shed);
-            let served = Arc::clone(&served);
-            std::thread::spawn(move || {
-                // No retries: each request reports its first outcome.
-                let mut c = Client::tcp(addr).with_policy(RetryPolicy {
-                    max_attempts: 1,
-                    ..fast_policy()
-                });
-                match c.request(steady(0.5 + i as f64 * 0.01), None) {
-                    Ok(_) => served.fetch_add(1, Ordering::SeqCst),
-                    Err(ClientError::RetriesExhausted { last, .. }) => match *last {
-                        ClientError::Server { ref code, .. } if code == "overloaded" => {
-                            shed.fetch_add(1, Ordering::SeqCst)
-                        }
-                        ref other => panic!("expected overloaded, got {other:?}"),
-                    },
-                    Err(other) => panic!("expected overloaded or ok, got {other:?}"),
-                }
+        let shed = Arc::new(AtomicUsize::new(0));
+        let served = Arc::new(AtomicUsize::new(0));
+        let workers: Vec<_> = (0..BURST)
+            .map(|i| {
+                let addr = h.addr.clone();
+                let shed = Arc::clone(&shed);
+                let served = Arc::clone(&served);
+                std::thread::spawn(move || {
+                    // No retries: each request reports its first outcome.
+                    let mut c = Client::tcp(addr).with_policy(RetryPolicy {
+                        max_attempts: 1,
+                        ..fast_policy()
+                    });
+                    match c.request(steady(0.5 + i as f64 * 0.01), None) {
+                        Ok(_) => served.fetch_add(1, Ordering::SeqCst),
+                        Err(ClientError::RetriesExhausted { last, .. }) => match *last {
+                            ClientError::Server { ref code, .. } if code == "overloaded" => {
+                                shed.fetch_add(1, Ordering::SeqCst)
+                            }
+                            ref other => panic!("expected overloaded, got {other:?}"),
+                        },
+                        Err(other) => panic!("expected overloaded or ok, got {other:?}"),
+                    }
+                })
             })
-        })
-        .collect();
-    for w in workers {
-        w.join().unwrap();
-    }
+            .collect();
+        for w in workers {
+            w.join().unwrap();
+        }
 
-    let report = h.stop();
-    assert!(shed.load(Ordering::SeqCst) > 0, "nothing was shed");
-    assert!(served.load(Ordering::SeqCst) > 0, "nothing was served");
-    assert_eq!(
-        shed.load(Ordering::SeqCst) as u64,
-        report.engine.shed_overload
-    );
-    // Shedding is immediate refusal: nothing may fail by timing out.
-    assert_eq!(
-        report.engine.completed_ok,
-        served.load(Ordering::SeqCst) as u64
-    );
+        let report = h.stop();
+        let (shed, served) = (shed.load(Ordering::SeqCst), served.load(Ordering::SeqCst));
+        // Every request is accounted for exactly once, on both sides.
+        assert_eq!(shed + served, BURST);
+        assert_eq!(report.engine.submitted, BURST as u64);
+        assert_eq!(report.engine.shed_overload, shed as u64);
+        // Shedding is immediate refusal: nothing may fail by timing out.
+        assert_eq!(report.engine.completed_ok, served as u64);
+        assert!(report.drained_cleanly);
+        if overloaded {
+            assert!(shed > 0, "nothing was shed");
+            assert!(served > 0, "nothing was served");
+        } else {
+            assert_eq!(served, BURST, "a capacity-matched burst must fully succeed");
+        }
+    }
 }
 
 #[test]
